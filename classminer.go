@@ -169,7 +169,7 @@ type VideoEntry struct {
 // finished index is swapped in atomically, so concurrent searches keep
 // answering from the previous index (at worst slightly stale) instead of
 // blocking or erroring while a rebuild is in flight. Deletion and
-// replacement (DeleteVideo, ReplaceVideo/ReplaceResult) follow the same
+// replacement (DeleteVideo, ReplaceResult/ReplaceVideoAsCtx) follow the same
 // discipline: the entry set and flat feature matrix are rebuilt into fresh
 // arrays and the old index serves until the next BuildIndex.
 type Library struct {
@@ -478,7 +478,7 @@ func (l *Library) undoUnacked(name string, ve *VideoEntry) {
 // this method (the journal is not attached yet, so nothing is re-logged).
 // check, when non-nil, runs on the existing entry under the write lock and
 // can veto the replacement before anything is logged (the policy gate of
-// ReplaceResultAs/ReplaceVideoAs).
+// ReplaceResultAs/ReplaceVideoAsCtx).
 func (l *Library) replace(ctx context.Context, name string, res *Result, subcluster string, check func(*VideoEntry) error) error {
 	sp := trace.StartSpan(ctx, "replace")
 	defer sp.End()
@@ -840,26 +840,10 @@ func (l *Library) ReplaceResultAsCtx(ctx context.Context, u User, res *Result, s
 	return l.replace(ctx, res.Video.Name, res, subcluster, l.visibleTo(u))
 }
 
-// ReplaceVideo mines a video and installs it under its name, superseding
-// any existing registration. Mining runs outside the lock, like AddVideo.
-func (l *Library) ReplaceVideo(v *Video, subcluster string) (*Result, error) {
-	if err := l.checkSubcluster(subcluster); err != nil {
-		return nil, err
-	}
-	res, err := l.analyzer.Analyze(v)
-	if err != nil {
-		return nil, err
-	}
-	return res, l.replace(context.Background(), v.Name, res, subcluster, nil)
-}
-
-// ReplaceVideoAs is ReplaceVideo with ReplaceResultAs's atomic policy gate
-// on the existing registration.
-func (l *Library) ReplaceVideoAs(u User, v *Video, subcluster string) (*Result, error) {
-	return l.ReplaceVideoAsCtx(context.Background(), u, v, subcluster)
-}
-
-// ReplaceVideoAsCtx is ReplaceVideoAs with tracing (see AddVideoCtx).
+// ReplaceVideoAsCtx mines a video and installs it under its name,
+// superseding any existing registration, with ReplaceResultAs's atomic
+// policy gate on that registration. Mining runs outside the lock, like
+// AddVideoCtx.
 func (l *Library) ReplaceVideoAsCtx(ctx context.Context, u User, v *Video, subcluster string) (*Result, error) {
 	if err := l.checkSubcluster(subcluster); err != nil {
 		return nil, err
@@ -1006,18 +990,8 @@ type LibraryStats struct {
 	IndexStaleness float64 `json:"indexStaleness"`
 	Generation     int64   `json:"generation"`
 	// WAL is the durable log's lag since its last checkpoint; nil when the
-	// library is not durable. For a sharded library this is the aggregate
-	// across shards (summed counters, min generation).
+	// library is not durable.
 	WAL *WALStats `json:"wal,omitempty"`
-	// Shards carries the per-shard breakdown when the stats come from a
-	// sharded library (internal/shard); nil for a plain Library.
-	Shards []ShardStats `json:"shards,omitempty"`
-}
-
-// ShardStats is one shard's slice of a sharded library's stats.
-type ShardStats struct {
-	Shard int `json:"shard"`
-	LibraryStats
 }
 
 // Stats returns a consistent snapshot of the library's counters.

@@ -10,8 +10,12 @@
 // it becomes visible, so a crash — OOM kill, power loss — loses no
 // completed registration (an ingest job is durable once it reports done;
 // a 202-accepted job that never ran can simply be resubmitted): the next
-// boot replays the newest checkpoint snapshot plus the log tail. Without
-// it, the daemon falls back to the legacy single-snapshot mode: on
+// boot replays the newest checkpoint snapshot plus the log tail. A data dir
+// holds exactly one library (MANIFEST, LOCK, checkpoint snapshots and WAL
+// segments); a dir written by the removed -shards mode (a SHARDS manifest
+// over shard-<i>/ subdirectories) is refused at boot, and the README's
+// "Upgrading a -shards data dir" section shows how to migrate it. Without
+// -data-dir, the daemon falls back to the legacy single-snapshot mode: on
 // SIGINT/SIGTERM it shuts down gracefully and, when -save is set,
 // checkpoints the library atomically.
 //
@@ -42,11 +46,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -56,23 +60,10 @@ import (
 	"classminer/internal/metrics"
 	"classminer/internal/repl"
 	"classminer/internal/server"
-	"classminer/internal/shard"
 	"classminer/internal/store"
 	"classminer/internal/synth"
 	"classminer/internal/wal"
 )
-
-// library is everything the daemon needs from its storage backend: the
-// serving contract plus boot-time population and shutdown. Both a plain
-// *classminer.Library (-shards 1, the default — including every legacy
-// data dir) and the sharded router (*shard.Library, -shards N) satisfy it.
-type library interface {
-	server.Library
-	AddVideo(v *classminer.Video, subcluster string) (*classminer.Result, error)
-	ImportSnapshot(r io.Reader, skipExisting bool) (int, error)
-	BuildIndex() error
-	Close() error
-}
 
 // tokenFlags accumulates repeated -token values of the form
 // token=name:clearance[:role1|role2...].
@@ -124,10 +115,6 @@ type config struct {
 	metrics    bool
 	pprof      bool
 	tokens     map[string]access.User
-
-	// sharding (only meaningful with -data-dir or for in-memory scale-out)
-	shards    int
-	shardsSet bool // -shards given explicitly (mismatch checks need to know)
 
 	// replication
 	role          string
@@ -198,7 +185,6 @@ func main() {
 	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint once this much WAL accumulates (negative disables)")
 	flag.Int64Var(&cfg.ckptRecords, "checkpoint-records", 10000, "auto-checkpoint once this many WAL records accumulate (negative disables)")
 	flag.Int64Var(&cfg.compactBytes, "compact-bytes", 8<<20, "auto-compact sealed WAL segments once this many dead bytes accumulate (negative disables)")
-	flag.IntVar(&cfg.shards, "shards", 1, "library shards, each with its own WAL/index/rebuild state (fixed at data-dir creation; 1 = classic single library)")
 	flag.StringVar(&cfg.role, "role", "leader", "replication role: leader (serves /v1/repl/* when durable) or follower (replicates from -leader-url, read-only until promoted)")
 	flag.StringVar(&cfg.leaderURL, "leader-url", "", "leader base URL a follower replicates from (required with -role follower)")
 	flag.StringVar(&cfg.replToken, "repl-token", "", "bearer token the follower presents to the leader (needs administrator clearance there)")
@@ -210,11 +196,6 @@ func main() {
 	flag.Var(&tokens, "token", "token=name:clearance[:role1|role2] (repeatable)")
 	flag.Parse()
 	cfg.tokens = tokens.users
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			cfg.shardsSet = true
-		}
-	})
 
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "classminerd:", err)
@@ -237,7 +218,41 @@ func syncPolicy(name string) (s classminer.DurableOptions, err error) {
 	return s, err
 }
 
+// validate rejects flag combinations that are wrong before any work is
+// done, so a misconfigured node fails in milliseconds rather than after
+// analyzer training.
+func validate(cfg config) error {
+	switch cfg.role {
+	case "leader":
+		return nil
+	case "follower":
+	default:
+		return fmt.Errorf("unknown -role %q (want leader or follower)", cfg.role)
+	}
+	if cfg.dataDir == "" {
+		return fmt.Errorf("-role follower requires -data-dir: a follower journals every replicated record so it can be promoted")
+	}
+	if cfg.leaderURL == "" {
+		return fmt.Errorf("-role follower requires -leader-url")
+	}
+	// A follower's content comes only from the leader's log. A locally
+	// mined or imported video would be journaled into the follower's own
+	// WAL, and the leader's later registration of the same name would be
+	// skipped on apply, so the replica would serve content the leader
+	// does not have.
+	if cfg.bootstrap != "" {
+		return fmt.Errorf("-bootstrap cannot be used with -role follower: bootstrap on the leader, which replicates to the follower")
+	}
+	if cfg.load != "" {
+		return fmt.Errorf("-load cannot be used with -role follower: load the snapshot on the leader, which replicates to the follower")
+	}
+	return nil
+}
+
 func run(cfg config) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
 	logger := log.New(os.Stderr, "classminerd: ", log.LstdFlags)
 
 	logger.Printf("training analyzer (skipEvents=%v)...", cfg.skipEvents)
@@ -254,10 +269,6 @@ func run(cfg config) error {
 		reg = metrics.NewRegistry()
 	}
 
-	if cfg.role != "leader" && cfg.role != "follower" {
-		return fmt.Errorf("unknown -role %q (want leader or follower)", cfg.role)
-	}
-
 	lib, err := buildLibrary(logger, analyzer, cfg, reg)
 	if err != nil {
 		return err
@@ -268,26 +279,20 @@ func run(cfg config) error {
 	// directly, and a follower that gets promoted starts serving its own
 	// downstream replicas without a restart.
 	var hub *repl.Hub
-	if engines := libEngines(lib); engines != nil {
-		hub, err = repl.NewHub(engines, reg, logger.Printf)
+	if e := lib.Engine(); e != nil {
+		hub, err = repl.NewHub([]*wal.Engine{e}, reg, logger.Printf)
 		if err != nil {
 			return err
 		}
 	}
 	var follower *repl.Follower
 	if cfg.role == "follower" {
-		if cfg.dataDir == "" {
-			return fmt.Errorf("-role follower requires -data-dir: a follower journals every replicated record so it can be promoted")
-		}
-		if cfg.leaderURL == "" {
-			return fmt.Errorf("-role follower requires -leader-url")
-		}
 		follower, err = repl.Start(repl.Options{
 			LeaderURL:       strings.TrimSuffix(cfg.leaderURL, "/"),
 			Token:           cfg.replToken,
 			ID:              cfg.followerID,
 			Dir:             cfg.dataDir,
-			Appliers:        libAppliers(lib),
+			Appliers:        []repl.Applier{lib},
 			ReadyLagRecords: cfg.replLagReady,
 			Metrics:         reg,
 			Logf:            logger.Printf,
@@ -296,7 +301,7 @@ func run(cfg config) error {
 			return err
 		}
 		defer follower.Close()
-		logger.Printf("replicating from %s as %q (%d shards)", cfg.leaderURL, cfg.followerID, len(libAppliers(lib)))
+		logger.Printf("replicating from %s as %q", cfg.leaderURL, cfg.followerID)
 	}
 
 	opts := server.Options{
@@ -394,12 +399,12 @@ func run(cfg config) error {
 // directory (or start empty), import a legacy snapshot, mine bootstrap
 // corpus videos, and build the index. Every registration into a durable
 // library — imported, bootstrapped or later ingested — is journaled.
-func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (library, error) {
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
-	}
-	var lib library
+func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config, reg *metrics.Registry) (*classminer.Library, error) {
+	var lib *classminer.Library
 	if cfg.dataDir != "" {
+		if err := checkNotSharded(cfg.dataDir); err != nil {
+			return nil, err
+		}
 		wopts, err := syncPolicy(cfg.fsync)
 		if err != nil {
 			return nil, err
@@ -412,45 +417,11 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 		wopts.ReplPinBudgetBytes = cfg.replPinBudget
 		wopts.Metrics = reg
 		wopts.Logf = logger.Printf
-		// A SHARDS manifest marks a sharded layout and pins its count; it
-		// wins over the flag default so reopening a sharded dir needs no
-		// flags, but an explicit conflicting -shards is an error. Plain
-		// dirs (including every pre-sharding data dir) stay on the classic
-		// single-library path byte-for-byte.
-		persisted, err := shard.Count(cfg.dataDir)
+		lib, err = classminer.Recover(cfg.dataDir, analyzer, wopts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
-		if persisted > 0 && cfg.shardsSet && cfg.shards != persisted {
-			return nil, fmt.Errorf("data dir %s holds %d shards but -shards %d was given (the count is fixed at creation)", cfg.dataDir, persisted, cfg.shards)
-		}
-		if persisted > 0 || cfg.shards > 1 {
-			n := cfg.shards
-			if persisted > 0 {
-				n = persisted
-			}
-			start := time.Now()
-			slib, err := shard.Recover(cfg.dataDir, n, analyzer, wopts)
-			if err != nil {
-				return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-			}
-			logger.Printf("recovered %d videos from %s (%d shards, parallel boot %v)",
-				slib.Stats().Videos, cfg.dataDir, slib.ShardCount(), time.Since(start).Round(time.Millisecond))
-			lib = slib
-		} else {
-			plib, err := classminer.Recover(cfg.dataDir, analyzer, wopts)
-			if err != nil {
-				return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-			}
-			logger.Printf("recovered %d videos from %s", plib.Stats().Videos, cfg.dataDir)
-			lib = plib
-		}
-	} else if cfg.shards > 1 {
-		slib, err := shard.New(analyzer, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		lib = slib
+		logger.Printf("recovered %d videos from %s", lib.Stats().Videos, cfg.dataDir)
 	} else {
 		lib = classminer.NewLibrary(analyzer)
 	}
@@ -502,48 +473,28 @@ func buildLibrary(logger *log.Logger, analyzer *classminer.Analyzer, cfg config,
 	return lib, nil
 }
 
-// libEngines exposes the per-shard WAL engines behind the library for the
-// replication hub, or nil when the library (or any shard) is not durable.
-func libEngines(lib library) []*wal.Engine {
-	switch l := lib.(type) {
-	case *classminer.Library:
-		if e := l.Engine(); e != nil {
-			return []*wal.Engine{e}
-		}
-	case *shard.Library:
-		engines := l.Engines()
-		for _, e := range engines {
-			if e == nil {
-				return nil
-			}
-		}
-		return engines
+// checkNotSharded refuses a data dir laid out by the removed -shards mode:
+// a SHARDS manifest over shard-<i>/ subdirectories, with no top-level log.
+// Opening it as a plain data dir would silently serve an empty library.
+func checkNotSharded(dir string) error {
+	_, err := os.Stat(filepath.Join(dir, "SHARDS"))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil
+	case err != nil:
+		return err
 	}
-	return nil
-}
-
-// libAppliers exposes the per-shard replication targets behind the library
-// (the shard layout must match the leader's, which the pull protocol
-// cross-checks via X-Repl-Shards).
-func libAppliers(lib library) []repl.Applier {
-	switch l := lib.(type) {
-	case *classminer.Library:
-		return []repl.Applier{l}
-	case *shard.Library:
-		out := make([]repl.Applier, l.ShardCount())
-		for i := range out {
-			out[i] = l.ShardAt(i)
-		}
-		return out
-	}
-	return nil
+	return fmt.Errorf("data dir %s holds a SHARDS manifest from the removed -shards mode, and classminerd now serves one library per data dir; "+
+		"to migrate, boot each %s/shard-<i> as its own -data-dir with -save s<i>.json and stop it with SIGTERM, "+
+		"then boot a new -data-dir once per snapshot with -load s<i>.json (README: \"Upgrading a -shards data dir\")",
+		dir, dir)
 }
 
 // importSnapshot registers every video of a legacy single-file snapshot
 // that the library does not already hold, reporting how many were new. On
 // a durable library the imports are journaled like any registration, so
 // -load doubles as a one-shot migration into -data-dir.
-func importSnapshot(lib library, path string) (int, error) {
+func importSnapshot(lib *classminer.Library, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err

@@ -192,7 +192,7 @@ func Build(entries []*Entry, opts Options) (*Index, error) {
 // be mutated afterwards: a built Index is immutable, and every concurrent
 // search reads entry pointers and feature rows straight out of them. A
 // caller that later shrinks its own entry set (classminer's
-// DeleteVideo/ReplaceVideo) must therefore rebuild into fresh backing
+// DeleteVideo/ReplaceResult) must therefore rebuild into fresh backing
 // arrays and hand the next BuildMatrix the new ones — the old index keeps
 // serving its snapshot untouched until it is swapped out.
 func BuildMatrix(entries []*Entry, feats *mat.Dense, opts Options) (*Index, error) {

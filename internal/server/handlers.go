@@ -804,7 +804,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Superseding destroys the existing registration, so it is gated
 		// like DELETE: the caller must be allowed to see it. This check is
 		// a fast 403; the authoritative one runs atomically inside
-		// ReplaceResultAs/ReplaceVideoAs when the job applies.
+		// ReplaceResultAs/ReplaceVideoAsCtx when the job applies.
 		if !s.lib.Allowed(u, s.subclusterPath(ve.Subcluster)) {
 			writeError(w, http.StatusForbidden, fmt.Sprintf("subcluster %q not accessible", ve.Subcluster))
 			return

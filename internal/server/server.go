@@ -204,12 +204,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Library is the storage/index/search contract the server fronts. Both a
-// plain *classminer.Library and the sharded router (internal/shard.Library)
-// satisfy it, so the serving layer is indifferent to the shard count: the
-// rebuilder kicks, the memory-watchdog degrade hooks, /v1/stats and the
-// admin WAL endpoints all address whatever is behind this interface, and a
-// sharded implementation fans them out per shard.
+// Library is the storage/index/search contract the server fronts:
+// mutations, search, the rebuilder kicks, the memory-watchdog degrade hooks,
+// /v1/stats and the admin WAL endpoints. *classminer.Library is the one
+// implementation the daemon serves; the interface lets tests and benchmark
+// harnesses wrap it with decorators (timing, fault injection) without the
+// server knowing.
 type Library interface {
 	// Mutations.
 	AddVideoCtx(ctx context.Context, v *classminer.Video, subcluster string) (*classminer.Result, error)
