@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -708,9 +709,9 @@ func (l *Library) setLogSize(name string, n int64) {
 
 // encodeJournalRecord serialises a register/replace record for the
 // write-ahead log, or returns nil when the library is not durable. The
-// envelope payload is the JSON of a store.SavedLibraryEntry — the same
-// shape a snapshot holds per video — so snapshot load and log replay share
-// one decode path.
+// envelope payload is the binary store.SavedLibraryEntry — the same
+// encoding a snapshot holds per video — so snapshot load and log replay
+// share one decode path.
 func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster string) ([]byte, error) {
 	l.mu.RLock()
 	durable := l.journal != nil
@@ -722,7 +723,7 @@ func (l *Library) encodeJournalRecord(kind, name string, res *Result, subcluster
 	if err != nil {
 		return nil, fmt.Errorf("classminer: encoding journal record: %w", err)
 	}
-	entry, err := json.Marshal(store.SavedLibraryEntry{Subcluster: subcluster, Result: saved})
+	entry, err := store.AppendEntry(nil, &store.SavedLibraryEntry{Subcluster: subcluster, Result: saved})
 	if err != nil {
 		return nil, fmt.Errorf("classminer: encoding journal record: %w", err)
 	}
@@ -1231,15 +1232,49 @@ func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
 			eng.Close()
 		}
 	}()
+	// Decode everything before installing anything: a decode error then
+	// fails recovery before any work is done, and the row count is known,
+	// so the feature matrix is allocated once instead of regrown by append
+	// across tens of thousands of rows.
+	var muts []mutation
 	if snap := eng.SnapshotPath(); snap != "" {
 		f, err := os.Open(snap)
 		if err != nil {
 			return nil, fmt.Errorf("classminer: opening snapshot: %w", err)
 		}
-		_, err = l.ImportSnapshot(f, false)
+		err = eachSnapshotEntry(f, func(m mutation) error {
+			muts = append(muts, m)
+			return nil
+		})
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("classminer: snapshot %s: %w", snap, err)
+		}
+	}
+	fromSnapshot := len(muts)
+	var rec wal.Record // scratch, reused across the whole log tail
+	err = eng.Replay(func(payload []byte) error {
+		if err := wal.DecodeRecordInto(&rec, payload); err != nil {
+			return fmt.Errorf("classminer: %w", err)
+		}
+		m, err := decodeRecord(&rec)
+		if err != nil {
+			return fmt.Errorf("classminer: decoding journal record: %w", err)
+		}
+		m.size = int64(len(payload)) + wal.FrameOverhead
+		muts = append(muts, m)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.reserve(muts)
+	for _, m := range muts[:fromSnapshot] {
+		if err := l.checkSubcluster(m.subcluster); err != nil {
+			return nil, fmt.Errorf("classminer: snapshot: %w", err)
+		}
+		if err := l.register(context.Background(), m.name, m.res, m.subcluster); err != nil {
+			return nil, fmt.Errorf("classminer: snapshot: %w", err)
 		}
 	}
 	// Dead log discovered during replay (a tombstone or replacement whose
@@ -1253,54 +1288,31 @@ func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
 		replayDeadBytes += bytes
 	}
 	l.mu.Unlock()
-	// Replay reuses one scratch Record and one scratch SavedLibraryEntry
-	// across the whole log tail — the per-record work is the decode, and a
-	// 10k-record recovery should not also pay 10k envelope re-parses and
-	// scratch allocations.
-	var rec wal.Record
-	var sv store.SavedLibraryEntry
-	err = eng.Replay(func(payload []byte) error {
-		if err := wal.DecodeRecordInto(&rec, payload); err != nil {
-			return fmt.Errorf("classminer: %w", err)
-		}
-		size := int64(len(payload)) + wal.FrameOverhead
-		if rec.Type == wal.RecordTombstone {
+	for _, m := range muts[fromSnapshot:] {
+		switch m.kind {
+		case wal.RecordTombstone:
 			// Delete wins over a straddling checkpointed registration (the
 			// video is in the snapshot, its tombstone on the log tail);
 			// unknown names are fine — the tombstone itself may straddle a
 			// checkpoint that already dropped the video.
-			l.remove(rec.Key)
-			return nil
-		}
-		sv = store.SavedLibraryEntry{}
-		if err := json.Unmarshal(rec.Payload, &sv); err != nil {
-			return fmt.Errorf("classminer: decoding journal record: %w", err)
-		}
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return fmt.Errorf("classminer: decoding journal record: %w", err)
-		}
-		name := res.Video.Name
-		if rec.Type == wal.RecordReplace {
-			if err := l.replace(context.Background(), name, res, sv.Subcluster, nil); err != nil {
-				return err
+			l.remove(m.name)
+			continue
+		case wal.RecordReplace:
+			if err := l.replace(context.Background(), m.name, m.res, m.subcluster, nil); err != nil {
+				return nil, err
 			}
-		} else {
-			err := l.register(context.Background(), name, res, sv.Subcluster)
+		default:
+			err := l.register(context.Background(), m.name, m.res, m.subcluster)
 			if err != nil && !errors.Is(err, ErrDuplicateVideo) {
 				// A duplicate straddles the last checkpoint: it is both in
 				// the snapshot and on the log tail, and the snapshot copy
 				// won. Anything else is real.
-				return err
+				return nil, err
 			}
 		}
 		// Either way the record is on the live log; a later delete or
 		// replacement makes its bytes reclaimable.
-		l.setLogSize(name, size)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		l.setLogSize(m.name, m.size)
 	}
 	l.mu.Lock()
 	l.journal = eng
@@ -1331,28 +1343,118 @@ func Recover(dir string, a *Analyzer, opts DurableOptions) (*Library, error) {
 // registration, and on a durable library every import is journaled. The
 // index is left stale; call BuildIndex afterwards.
 func (l *Library) ImportSnapshot(r io.Reader, skipExisting bool) (int, error) {
-	saved, err := store.ReadLibrary(r)
-	if err != nil {
-		return 0, err
-	}
 	n := 0
-	for _, sv := range saved.Videos {
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return n, err
+	err := eachSnapshotEntry(r, func(m mutation) error {
+		if skipExisting && l.Video(m.name) != nil {
+			return nil
 		}
-		if skipExisting && l.Video(res.Video.Name) != nil {
-			continue
+		if err := l.checkSubcluster(m.subcluster); err != nil {
+			return err
 		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
-			return n, err
-		}
-		if err := l.register(context.Background(), res.Video.Name, res, sv.Subcluster); err != nil {
-			return n, err
+		if err := l.register(context.Background(), m.name, m.res, m.subcluster); err != nil {
+			return err
 		}
 		n++
+		return nil
+	})
+	return n, err
+}
+
+// mutation is one decoded library change: a snapshot entry (a
+// registration) or a log record.
+type mutation struct {
+	kind       string // a wal.Record* kind
+	name       string
+	res        *Result // nil for a tombstone
+	subcluster string
+	size       int64 // on-log footprint (payload + frame overhead); log records only
+}
+
+// decodeEntry turns a saved entry into a registration. Every mined video
+// the library reads back — from a snapshot, the log or a leader — is
+// decoded here.
+func decodeEntry(sv *store.SavedLibraryEntry) (mutation, error) {
+	res, err := store.DecodeResult(sv.Result)
+	if err != nil {
+		return mutation{}, err
 	}
-	return n, nil
+	return mutation{kind: wal.RecordRegister, name: res.Video.Name, res: res, subcluster: sv.Subcluster}, nil
+}
+
+// decodeRecord decodes a log record. Register and replace payloads are
+// store's binary entry since envelope version 2; earlier records carry the
+// JSON SavedLibraryEntry older releases wrote, which still replays.
+func decodeRecord(rec *wal.Record) (mutation, error) {
+	switch rec.Type {
+	case wal.RecordTombstone:
+		return mutation{kind: rec.Type, name: rec.Key}, nil
+	case wal.RecordRegister, wal.RecordReplace:
+	default:
+		return mutation{}, fmt.Errorf("unknown record type %q", rec.Type)
+	}
+	var sv store.SavedLibraryEntry
+	var err error
+	if rec.Version >= wal.RecordVersion {
+		sv, err = store.DecodeEntry(rec.Payload)
+	} else {
+		err = json.Unmarshal(rec.Payload, &sv)
+	}
+	if err != nil {
+		return mutation{}, err
+	}
+	m, err := decodeEntry(&sv)
+	m.kind = rec.Type
+	return m, err
+}
+
+// eachSnapshotEntry decodes a snapshot (a stream written by Save, or a
+// JSON snapshot of an earlier release) entry by entry into fn.
+func eachSnapshotEntry(r io.Reader, fn func(mutation) error) error {
+	lr, err := store.NewLibraryReader(r)
+	if err != nil {
+		return err
+	}
+	for {
+		sv, err := lr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		m, err := decodeEntry(&sv)
+		if err != nil {
+			return err
+		}
+		if err := fn(m); err != nil {
+			return err
+		}
+	}
+}
+
+// reserve sizes the video map, entry list and feature matrix for a bulk
+// load of muts, so installing them appends into one allocation. The row
+// count is an upper bound: a tombstone or replacement among muts frees
+// rows it does not subtract.
+func (l *Library) reserve(muts []mutation) {
+	rows, dim := 0, 0
+	for _, m := range muts {
+		if m.res == nil {
+			continue
+		}
+		rows += len(m.res.Shots)
+		if dim == 0 && len(m.res.Shots) > 0 {
+			s := m.res.Shots[0]
+			dim = len(s.Color) + len(s.Texture)
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.videos) == 0 {
+		l.videos = make(map[string]*VideoEntry, len(muts))
+	}
+	l.entries = slices.Grow(l.entries, rows)
+	l.featData = slices.Grow(l.featData, rows*dim)
 }
 
 // Engine exposes the library's write-ahead-log engine, or nil when the
@@ -1376,34 +1478,26 @@ func (l *Library) Engine() *wal.Engine {
 // a replace is an upsert either way. Legacy bare frames arrive as version-0
 // registrations, exactly as replay treats them.
 func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
-	switch rec.Type {
-	case wal.RecordTombstone:
-		if err := l.deleteVideo(ctx, rec.Key, nil); err != nil && !errors.Is(err, ErrUnknownVideo) {
-			return err
-		}
-		return nil
-	case wal.RecordRegister, wal.RecordReplace:
-		var sv store.SavedLibraryEntry
-		if err := json.Unmarshal(rec.Payload, &sv); err != nil {
-			return fmt.Errorf("classminer: decoding replicated record: %w", err)
-		}
-		res, err := store.DecodeResult(sv.Result)
-		if err != nil {
-			return fmt.Errorf("classminer: decoding replicated record: %w", err)
-		}
-		if err := l.checkSubcluster(sv.Subcluster); err != nil {
-			return err
-		}
-		if rec.Type == wal.RecordReplace {
-			return l.replace(ctx, res.Video.Name, res, sv.Subcluster, nil)
-		}
-		if err := l.register(ctx, res.Video.Name, res, sv.Subcluster); err != nil && !errors.Is(err, ErrDuplicateVideo) {
-			return err
-		}
-		return nil
-	default:
-		return fmt.Errorf("classminer: unknown replicated record type %q", rec.Type)
+	m, err := decodeRecord(rec)
+	if err != nil {
+		return fmt.Errorf("classminer: decoding replicated record: %w", err)
 	}
+	if m.kind == wal.RecordTombstone {
+		if err := l.deleteVideo(ctx, m.name, nil); err != nil && !errors.Is(err, ErrUnknownVideo) {
+			return err
+		}
+		return nil
+	}
+	if err := l.checkSubcluster(m.subcluster); err != nil {
+		return err
+	}
+	if m.kind == wal.RecordReplace {
+		return l.replace(ctx, m.name, m.res, m.subcluster, nil)
+	}
+	if err := l.register(ctx, m.name, m.res, m.subcluster); err != nil && !errors.Is(err, ErrDuplicateVideo) {
+		return err
+	}
+	return nil
 }
 
 // ReseedFromSnapshot converges the library onto a leader checkpoint
@@ -1417,19 +1511,19 @@ func (l *Library) ApplyRecord(ctx context.Context, rec *wal.Record) error {
 // checkpointed has an empty snapshot, and the whole history arrives via the
 // log instead. Reports how many videos were installed and removed.
 func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installed, removed int, err error) {
-	var entries []store.SavedLibraryEntry
+	var entries []mutation
 	if r != nil {
-		saved, err := store.ReadLibrary(r)
+		err := eachSnapshotEntry(r, func(m mutation) error {
+			entries = append(entries, m)
+			return nil
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		entries = saved.Videos
 	}
 	keep := make(map[string]bool, len(entries))
-	for _, sv := range entries {
-		if sv.Result != nil {
-			keep[sv.Result.VideoName] = true
-		}
+	for _, m := range entries {
+		keep[m.name] = true
 	}
 	for _, name := range l.VideoNames() {
 		if keep[name] {
@@ -1440,15 +1534,11 @@ func (l *Library) ReseedFromSnapshot(ctx context.Context, r io.Reader) (installe
 		}
 		removed++
 	}
-	for _, sv := range entries {
-		res, derr := store.DecodeResult(sv.Result)
-		if derr != nil {
+	for _, m := range entries {
+		if derr := l.checkSubcluster(m.subcluster); derr != nil {
 			return installed, removed, derr
 		}
-		if derr := l.checkSubcluster(sv.Subcluster); derr != nil {
-			return installed, removed, derr
-		}
-		if derr := l.replace(ctx, res.Video.Name, res, sv.Subcluster, nil); derr != nil {
+		if derr := l.replace(ctx, m.name, m.res, m.subcluster, nil); derr != nil {
 			return installed, removed, derr
 		}
 		installed++

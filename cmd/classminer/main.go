@@ -25,7 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 2003, "corpus seed")
 	level := flag.Int("level", 3, "skimming level to list (1-4)")
 	useMPEG := flag.Bool("mpeg", false, "round-trip the video through the simulated MPEG codec first")
-	saveTo := flag.String("save", "", "write the mined metadata (JSON) to this file")
+	saveTo := flag.String("save", "", "write the mined metadata to this file (a binary library snapshot classminerd -load reads)")
 	flag.Parse()
 
 	if err := run(*videoName, *scale, *seed, *level, *useMPEG, *saveTo); err != nil {

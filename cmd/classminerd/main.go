@@ -156,7 +156,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints; crash recovery on boot)")
-	flag.StringVar(&cfg.load, "load", "", "import a library snapshot (JSON written by -save or classminer -save)")
+	flag.StringVar(&cfg.load, "load", "", "import a library snapshot written by -save or classminer -save (binary, or the JSON of earlier releases)")
 	flag.StringVar(&cfg.save, "save", "", "snapshot path written on shutdown and by POST /v1/admin/save")
 	flag.StringVar(&cfg.bootstrap, "bootstrap", "", "comma-separated corpus videos to mine at startup, or \"all\"")
 	flag.Float64Var(&cfg.scale, "scale", 0.4, "bootstrap corpus scale")

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"classminer/internal/store"
 )
 
 func TestValidate(t *testing.T) {
@@ -72,5 +76,55 @@ func TestBuildLibraryRefusesShardedDataDir(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// -load still reads a JSON snapshot an earlier release's -save wrote, and
+// migrates it into a data dir that then recovers on its own.
+func TestLoadJSONSnapshot(t *testing.T) {
+	lib := store.SavedLibrary{Version: store.FormatVersion}
+	for i := 0; i < 3; i++ {
+		lib.Videos = append(lib.Videos, store.SavedLibraryEntry{Subcluster: "medicine", Result: &store.SavedResult{
+			Version: store.FormatVersion, VideoName: fmt.Sprintf("old-%d", i), FPS: 25, TotalFrames: 100,
+			Shots: []store.SavedShot{
+				{Index: 0, End: 49, Color: []float64{float64(i), 0, 1}, Texture: []float64{0.5}},
+				{Index: 1, Start: 50, End: 99, RepFrame: 50, Color: []float64{0, 2, 0}, Texture: []float64{0.25}},
+			},
+			Groups: []store.SavedGroup{{Shots: []int{0, 1}, RepShots: []int{0}}},
+			Scenes: []store.SavedScene{{Groups: []int{0}}},
+		}})
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(f).Encode(lib); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	quiet := log.New(io.Discard, "", 0)
+	cfg := config{role: "leader", dataDir: t.TempDir(), load: path, fsync: "off"}
+	loaded, err := buildLibrary(quiet, nil, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Stats().Videos; got != 3 {
+		t.Fatalf("loaded %d videos, want 3", got)
+	}
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.load = ""
+	recovered, err := buildLibrary(quiet, nil, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	for _, v := range lib.Videos {
+		if recovered.Video(v.Result.VideoName) == nil {
+			t.Fatalf("%s lost across recovery of the migrated dir", v.Result.VideoName)
+		}
 	}
 }

@@ -366,7 +366,7 @@ func (h *Hub) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rc.Close()
 	w.Header().Set(HeaderSnapshot, "full")
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	if _, err := io.Copy(w, rc); err != nil {
 		// Headers are gone; all we can do is log the truncated stream. The

@@ -136,7 +136,6 @@ type jsonScratch struct {
 var jsonPool = sync.Pool{New: func() any {
 	s := &jsonScratch{}
 	s.enc = json.NewEncoder(&s.buf)
-	s.enc.SetIndent("", "  ")
 	return s
 }}
 
@@ -156,7 +155,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		jsonPool.Put(s)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", "encoding response: "+err.Error())
+		fmt.Fprintf(w, "{\"error\":%q}\n", "encoding response: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -3,13 +3,14 @@
 // not the media itself, so a saved library can be reloaded and queried
 // without re-running the pipeline (or without the original frames at all).
 //
-// The format is JSON with explicit index-based references: Go pointers
-// (shots shared between groups, scenes and skim levels) are flattened to
-// indices on save and re-linked on load, preserving identity.
+// A saved result uses explicit index-based references: Go pointers (shots
+// shared between groups, scenes and skim levels) are flattened to indices
+// on save and re-linked on load, preserving identity. Records and
+// snapshots are written in the binary format of codec.go; the JSON tags
+// remain for reading what earlier releases wrote and for API bodies.
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -289,26 +290,6 @@ type SavedLibraryEntry struct {
 type SavedLibrary struct {
 	Version int                 `json:"version"`
 	Videos  []SavedLibraryEntry `json:"videos"`
-}
-
-// WriteLibrary serialises entries to w as JSON.
-func WriteLibrary(w io.Writer, entries []SavedLibraryEntry) error {
-	lib := SavedLibrary{Version: FormatVersion, Videos: entries}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&lib)
-}
-
-// ReadLibrary parses a library written by WriteLibrary.
-func ReadLibrary(r io.Reader) (*SavedLibrary, error) {
-	var lib SavedLibrary
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&lib); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if lib.Version != FormatVersion {
-		return nil, fmt.Errorf("store: library version %d unsupported (want %d)", lib.Version, FormatVersion)
-	}
-	return &lib, nil
 }
 
 // WriteFileAtomic streams write into a temp file in path's directory,

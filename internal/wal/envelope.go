@@ -1,24 +1,29 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 )
 
 // Record envelope: the logical layer above the byte framing of record.go.
-// Every frame payload is one JSON document describing a library mutation.
-// Two shapes are live on disk:
+// Every frame payload describes one library mutation. This build writes
+// version 2:
 //
-//   - Typed (this PR onward): {"type":"register","version":1,"key":"v1",
-//     "payload":{…}} — the envelope carries the mutation kind and the video
-//     name (the compaction key), and the payload is the kind-specific body
-//     (a store.SavedLibraryEntry for register/replace, empty for tombstone).
+//	byte    2 (RecordVersion)
+//	byte    kind: 1 register, 2 tombstone, 3 replace
+//	uvarint key length, then the key (the video name)
+//	rest    the payload: opaque bytes, empty for a tombstone
 //
-//   - Legacy (pre-envelope data dirs): a bare store.SavedLibraryEntry
-//     document. It has no "type" member, which is how DecodeRecord tells the
-//     shapes apart; it always means a registration, so existing data
-//     directories recover unchanged.
+// The package never looks inside a payload. Two older shapes are still
+// read, so existing data directories recover unchanged; both are JSON and
+// start with '{', never with 2:
+//
+//   - Version 1: {"type":"register","version":1,"key":"v1","payload":{…}},
+//     whose payload is a JSON document.
+//   - Legacy (pre-envelope data dirs): a bare JSON document with no "type"
+//     member. It always means a registration, and its key is probed from
+//     the document's result.videoName.
 //
 // The envelope lives in this package — not in classminer — because the
 // compactor must classify records without the library: a register or
@@ -41,24 +46,33 @@ const (
 	RecordReplace = "replace"
 )
 
-// recordVersion is the envelope schema version this build writes and the
-// only one it accepts; legacy frames (no envelope at all) report version 0.
-const recordVersion = 1
+// RecordVersion is the envelope version this build writes. Records of an
+// earlier version decode with their own Version, so a consumer knows which
+// payload format they carry.
+const RecordVersion = 2
+
+// kinds maps a version-2 kind byte to its record kind (0 is unused), and
+// kindByte back.
+var (
+	kinds    = [...]string{1: RecordRegister, 2: RecordTombstone, 3: RecordReplace}
+	kindByte = map[string]byte{RecordRegister: 1, RecordTombstone: 2, RecordReplace: 3}
+)
 
 // Record is one decoded log record.
 type Record struct {
 	// Type is one of the Record* kinds.
-	Type string `json:"type"`
-	// Version is the envelope schema version (0 for a legacy bare frame).
-	Version int `json:"version"`
+	Type string
+	// Version is the envelope version: RecordVersion, 1 for a JSON
+	// envelope, 0 for a legacy bare frame.
+	Version int
 	// Key is the video name the record is about — the identity compaction
 	// and replay dedupe on. Empty only for a legacy frame whose payload
 	// could not be probed (such records are never dropped by compaction).
-	Key string `json:"key,omitempty"`
-	// Payload is the kind-specific body: a store.SavedLibraryEntry JSON
-	// document for register/replace (for a legacy frame, the whole frame),
-	// empty for tombstone.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Key string
+	// Payload is the kind-specific body, empty for a tombstone. Version 0
+	// and 1 payloads are the JSON documents earlier releases wrote (for a
+	// legacy frame, the whole frame).
+	Payload []byte
 }
 
 // EncodeRecord serialises one typed record for Append. payload may be nil
@@ -79,35 +93,16 @@ func EncodeRecord(kind, key string, payload []byte) ([]byte, error) {
 	if key == "" {
 		return nil, fmt.Errorf("wal: %s record needs a key", kind)
 	}
-	// Encode without HTML escaping so the payload embeds byte-for-byte
-	// (modulo JSON whitespace compaction): compaction copies surviving
-	// frames verbatim, and keeping encode deterministic and transparent
-	// makes on-disk records greppable and diffable.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(Record{Type: kind, Version: recordVersion, Key: key, Payload: payload}); err != nil {
-		return nil, fmt.Errorf("wal: encoding %s record: %w", kind, err)
-	}
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
+	b := make([]byte, 0, 2+binary.MaxVarintLen64+len(key)+len(payload))
+	b = append(b, RecordVersion, kindByte[kind])
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	return append(b, payload...), nil
 }
 
-// legacyProbe mirrors just enough of store.SavedLibraryEntry /
-// store.SavedResult to pull the video name out of a legacy bare frame
-// without decoding the whole mined result. envelope_test.go pins it against
-// store's actual encoding so the tags cannot drift apart silently.
-type legacyProbe struct {
-	Result struct {
-		VideoName string `json:"videoName"`
-	} `json:"result"`
-}
-
-// DecodeRecord parses one frame payload into a Record. Legacy bare
-// store.SavedLibraryEntry frames (no "type" member) decode as version-0
-// registrations whose Payload is the whole frame, so every pre-envelope
-// data directory replays exactly as it did before typed records existed.
-// The returned Payload may alias frame; callers that retain it past the
-// frame's lifetime must copy.
+// DecodeRecord parses one frame payload into a Record. The returned
+// Payload may alias frame; callers that retain it past the frame's
+// lifetime must copy.
 func DecodeRecord(frame []byte) (Record, error) {
 	var rec Record
 	if err := DecodeRecordInto(&rec, frame); err != nil {
@@ -116,123 +111,77 @@ func DecodeRecord(frame []byte) (Record, error) {
 	return rec, nil
 }
 
-// Byte shapes every frame this package ever wrote. Typed frames come from
-// EncodeRecord's json.Encoder over the Record struct, so field order and
-// spacing are fixed; legacy frames are json.Marshal of a
-// store.SavedLibraryEntry, whose first field is "subcluster"
-// (envelope_test.go pins both against the real encoders).
-var (
-	typedPrefix    = []byte(`{"type":"`)
-	typedVersion   = []byte(`","version":1,"key":"`)
-	typedPayload   = []byte(`","payload":`)
-	typedTombstone = []byte(`"}`)
-	legacyPrefix   = []byte(`{"subcluster":`)
-)
-
 // DecodeRecordInto is DecodeRecord writing into *rec — replay and
 // compaction loops reuse one scratch Record across millions of frames.
-//
-// Frames matching the exact byte shape EncodeRecord produces are parsed by
-// a sliver of hand-rolled scanning instead of a full json.Unmarshal: the
-// envelope head is a handful of fixed literals, and the payload is sliced
-// out untouched (no re-validation, no copy — the CRC frame already vouches
-// for integrity, and the consumer parses the payload next anyway). That
-// removes the second full parse of every record from the recovery path.
-// Anything irregular — an escaped key, foreign spacing — falls back to the
-// strict envelope unmarshal, and legacy frames take a single probe parse
-// for the key instead of the envelope-then-probe double parse.
 func DecodeRecordInto(rec *Record, frame []byte) error {
-	if fastDecodeTyped(rec, frame) {
-		return nil
+	if len(frame) > 0 && frame[0] == RecordVersion {
+		return decodeBinary(rec, frame[1:])
 	}
-	if bytes.HasPrefix(frame, legacyPrefix) {
-		return decodeLegacy(rec, frame)
+	return decodeJSON(rec, frame)
+}
+
+// decodeBinary parses a version-2 record after its version byte.
+func decodeBinary(rec *Record, b []byte) error {
+	if len(b) == 0 || int(b[0]) >= len(kinds) || b[0] == 0 {
+		return fmt.Errorf("wal: bad record kind")
 	}
-	*rec = Record{}
-	if err := json.Unmarshal(frame, rec); err != nil {
+	kind := kinds[b[0]]
+	n, w := binary.Uvarint(b[1:])
+	if w <= 0 || n == 0 || n > uint64(len(b)-1-w) {
+		return fmt.Errorf("wal: %s record has a bad key", kind)
+	}
+	b = b[1+w:]
+	payload := b[n:]
+	if (kind == RecordTombstone) != (len(payload) == 0) {
+		return fmt.Errorf("wal: %s record has a bad payload", kind)
+	}
+	*rec = Record{Type: kind, Version: RecordVersion, Key: string(b[:n]), Payload: payload}
+	return nil
+}
+
+// jsonEnvelope is the version-1 envelope, read for compatibility only.
+// Result mirrors just enough of a legacy bare frame (a JSON
+// store.SavedLibraryEntry) to pull its video name out in the same parse;
+// envelope_test.go pins it against store's JSON tags.
+type jsonEnvelope struct {
+	Type    string          `json:"type"`
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Payload json.RawMessage `json:"payload"`
+	Result  struct {
+		VideoName string `json:"videoName"`
+	} `json:"result"`
+}
+
+// decodeJSON parses a version-1 envelope or a legacy bare frame (no
+// "type" member). A legacy frame's key probe is best-effort: a frame it
+// cannot name still registers (classminer decodes the full payload); it is
+// only invisible to compaction.
+func decodeJSON(rec *Record, frame []byte) error {
+	var env jsonEnvelope
+	if err := json.Unmarshal(frame, &env); err != nil {
 		return fmt.Errorf("wal: decoding record envelope: %w", err)
 	}
-	if rec.Type == "" {
-		return decodeLegacy(rec, frame)
+	if env.Type == "" {
+		*rec = Record{Type: RecordRegister, Version: 0, Key: env.Result.VideoName, Payload: frame}
+		return nil
 	}
-	switch rec.Type {
+	switch env.Type {
 	case RecordRegister, RecordTombstone, RecordReplace:
 	default:
-		return fmt.Errorf("wal: unknown record type %q", rec.Type)
+		return fmt.Errorf("wal: unknown record type %q", env.Type)
 	}
-	if rec.Version != recordVersion {
-		return fmt.Errorf("wal: record version %d unsupported (want %d)", rec.Version, recordVersion)
+	if env.Version != 1 {
+		return fmt.Errorf("wal: JSON record version %d unsupported (want 1)", env.Version)
 	}
-	if rec.Key == "" {
-		return fmt.Errorf("wal: %s record has no key", rec.Type)
+	if env.Key == "" {
+		return fmt.Errorf("wal: %s record has no key", env.Type)
 	}
-	if (rec.Type == RecordRegister || rec.Type == RecordReplace) && len(rec.Payload) == 0 {
-		return fmt.Errorf("wal: %s record has no payload", rec.Type)
+	if (env.Type == RecordRegister || env.Type == RecordReplace) && len(env.Payload) == 0 {
+		return fmt.Errorf("wal: %s record has no payload", env.Type)
 	}
+	*rec = Record{Type: env.Type, Version: 1, Key: env.Key, Payload: env.Payload}
 	return nil
-}
-
-// decodeLegacy fills *rec from a legacy bare frame. The key probe is
-// best-effort: a frame it cannot name still registers fine (classminer
-// decodes the full payload); it is only invisible to compaction.
-func decodeLegacy(rec *Record, frame []byte) error {
-	key := ""
-	var p legacyProbe
-	if err := json.Unmarshal(frame, &p); err == nil {
-		key = p.Result.VideoName
-	}
-	*rec = Record{Type: RecordRegister, Version: 0, Key: key, Payload: frame}
-	return nil
-}
-
-// fastDecodeTyped attempts the exact-shape parse of an EncodeRecord frame.
-// It reports false — leaving *rec unspecified — whenever the bytes deviate
-// from the canonical shape; the caller then takes the strict path.
-func fastDecodeTyped(rec *Record, frame []byte) bool {
-	if len(frame) < len(typedPrefix)+2 || frame[len(frame)-1] != '}' || !bytes.HasPrefix(frame, typedPrefix) {
-		return false
-	}
-	rest := frame[len(typedPrefix):]
-	var kind string
-	switch {
-	case bytes.HasPrefix(rest, []byte(RecordRegister)):
-		kind, rest = RecordRegister, rest[len(RecordRegister):]
-	case bytes.HasPrefix(rest, []byte(RecordTombstone)):
-		kind, rest = RecordTombstone, rest[len(RecordTombstone):]
-	case bytes.HasPrefix(rest, []byte(RecordReplace)):
-		kind, rest = RecordReplace, rest[len(RecordReplace):]
-	default:
-		return false
-	}
-	if !bytes.HasPrefix(rest, typedVersion) {
-		return false
-	}
-	rest = rest[len(typedVersion):]
-	q := bytes.IndexByte(rest, '"')
-	if q <= 0 {
-		return false // empty or unterminated key
-	}
-	key := rest[:q]
-	if bytes.IndexByte(key, '\\') >= 0 {
-		return false // escaped key: let encoding/json do the unescaping
-	}
-	rest = rest[q:]
-	if kind == RecordTombstone {
-		if !bytes.Equal(rest, typedTombstone) {
-			return false
-		}
-		*rec = Record{Type: kind, Version: recordVersion, Key: string(key)}
-		return true
-	}
-	if !bytes.HasPrefix(rest, typedPayload) {
-		return false
-	}
-	payload := rest[len(typedPayload) : len(rest)-1]
-	if len(payload) == 0 {
-		return false
-	}
-	*rec = Record{Type: kind, Version: recordVersion, Key: string(key), Payload: payload}
-	return true
 }
 
 // supersedes reports whether a record of this kind makes every earlier

@@ -27,7 +27,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", c.kind, err)
 		}
-		if rec.Type != c.kind || rec.Key != c.key || rec.Version != recordVersion {
+		if rec.Type != c.kind || rec.Key != c.key || rec.Version != RecordVersion {
 			t.Fatalf("decoded %+v, want kind %s key %s", rec, c.kind, c.key)
 		}
 		if !bytes.Equal(rec.Payload, c.payload) {
@@ -40,7 +40,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 // encoding: a bare SavedLibraryEntry document — exactly what pre-envelope
 // data directories hold — must decode as a version-0 registration whose
 // payload is the whole frame and whose key is the probed video name. If
-// store's JSON tags ever drift from legacyProbe, this test breaks first.
+// store's JSON tags ever drift from jsonEnvelope's Result probe, this test
+// breaks first.
 func TestEnvelopeLegacyFrame(t *testing.T) {
 	entry := store.SavedLibraryEntry{
 		Subcluster: "medicine",
@@ -83,11 +84,19 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 		[]byte(`{"type":"register","version":9,"key":"k"}`), // future version
 		[]byte(`{"type":"tombstone","version":1}`),          // no key
 		[]byte(`{"type":"register","version":1,"key":"k"}`), // no payload
-		[]byte(`[1,2,3]`), // not an object
+		[]byte(`[1,2,3]`),                   // not an object
+		{RecordVersion},                     // no kind
+		{RecordVersion, 9, 1, 'k', 'x'},     // unknown kind
+		{RecordVersion, 1, 0, 'x'},          // empty key
+		{RecordVersion, 1, 5, 'k', 'x'},     // key longer than the frame
+		{RecordVersion, 1, 0x80},            // truncated key length
+		{RecordVersion, 1, 1, 'k'},          // register without payload
+		{RecordVersion, 2, 1, 'k', 'x'},     // tombstone with payload
+		{RecordVersion + 1, 1, 1, 'k', 'x'}, // future version
 	}
 	for _, frame := range bad {
 		if _, err := DecodeRecord(frame); err == nil {
-			t.Fatalf("malformed frame %s decoded", frame)
+			t.Fatalf("malformed frame %q decoded", frame)
 		}
 	}
 }
@@ -102,5 +111,21 @@ func TestEnvelopeLegacyUnprobeableKey(t *testing.T) {
 	}
 	if rec.Type != RecordRegister || rec.Key != "" {
 		t.Fatalf("decoded %+v, want keyless register", rec)
+	}
+}
+
+// TestEnvelopeVersion1Frame: the JSON envelopes the previous release wrote
+// still decode, reporting version 1 so the payload is read as JSON.
+func TestEnvelopeVersion1Frame(t *testing.T) {
+	rec, err := DecodeRecord([]byte(`{"type":"replace","version":1,"key":"v1","payload":{"subcluster":"medicine"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Type != RecordReplace || rec.Version != 1 || rec.Key != "v1" || string(rec.Payload) != `{"subcluster":"medicine"}` {
+		t.Fatalf("decoded %+v", rec)
+	}
+	rec, err = DecodeRecord([]byte(`{"type":"tombstone","version":1,"key":"v1"}`))
+	if err != nil || rec.Type != RecordTombstone || rec.Key != "v1" || len(rec.Payload) != 0 {
+		t.Fatalf("tombstone decoded %+v, %v", rec, err)
 	}
 }

@@ -22,7 +22,7 @@ const (
 	segPrefix    = "wal-"
 	segSuffix    = ".log"
 	snapPrefix   = "snap-"
-	snapSuffix   = ".json"
+	snapSuffix   = ".json" // kept from when snapshots were JSON; the engine never reads them
 )
 
 // manifest is the commit record of the storage engine: which snapshot is

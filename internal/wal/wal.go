@@ -9,10 +9,14 @@
 //
 //	data/
 //	  MANIFEST                    current generation, snapshot, first segment
-//	  snap-00000000000000000003.json   full library snapshot (store format)
+//	  snap-00000000000000000003.json   full library snapshot (opaque bytes)
 //	  wal-00000000000000000007.log     sealed segment
 //	  wal-00000000000000000008.log     active segment (appends go here)
 //
+// The engine never interprets a snapshot: it stores whatever the source
+// set by SetSource writes (the library writes its binary store format; the
+// .json suffix is kept so existing directories need no renames). Records
+// carry the version-2 envelope of envelope.go around an opaque payload.
 // Records are length-prefixed and CRC32-C framed; appends go to the active
 // segment, which rotates at Options.SegmentBytes. Replay walks the segments
 // named live by MANIFEST, yields every intact record in append order, and
